@@ -7,7 +7,7 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.core.exec.MultiwayJoin
 import repro.core.ghd.GHD
-import repro.core.hcube.Rel
+import repro.core.hcube.{Rel, Shares}
 import repro.core.hypergraph.Hypergraph
 import repro.core.sampling.Sampler
 
@@ -16,13 +16,13 @@ import repro.core.sampling.Sampler
   */
 object Adj {
 
-  /** Which optimizer strategy to run.
+  /** Which optimizer strategy to run. A strategy only decides the plan;
+    * both run through the same pre-compute and one-round execution.
     *
     *  - [[CoOptimization]]: the paper's contribution — GHD + sampling +
     *    Algorithm 2, possibly pre-computing hypertree bags.
     *  - [[CommunicationFirst]]: HCubeJ [11] — minimize shuffled tuples only,
-    *    never pre-compute, pick the attribute order by a cheap degree
-    *    heuristic. With `cacheSize > 0` this is HCubeJ+Cache [28].
+    *    never pre-compute, and use the query's textual attribute order.
     */
   sealed trait Strategy
   case object CoOptimization      extends Strategy
@@ -30,14 +30,12 @@ object Adj {
 
   /** @param samples      sampling budget per cardinality estimate
     * @param cubeBudget   hypercubes for HCube (default: default parallelism)
-    * @param cacheSize    LFTJ intersection-cache entries (0 = off)
     * @param memoryTuples per-server tuple budget for the shares program
     */
   final case class Config(
       strategy: Strategy = CoOptimization,
       samples: Int = 500,
       cubeBudget: Option[Int] = None,
-      cacheSize: Int = 0,
       memoryTuples: Option[Double] = None,
   )
 
@@ -59,6 +57,10 @@ object Adj {
 
   /** Runs a natural join query.
     *
+    * Inputs the caller has not persisted are persisted for the run (they are
+    * counted, sampled and shuffled) and unpersisted before returning; inputs
+    * already persisted keep the caller's storage level.
+    *
     * @param data one RDD per query atom; columns in the atom's attribute order
     * @return result tuples in ascending attribute-id order (= the query's
     *         first-appearance attribute order), plus the cost report
@@ -74,27 +76,34 @@ object Adj {
 
     // Count each distinct backing RDD once (the workload reuses one graph).
     val sizeByRddId = collection.mutable.Map.empty[Int, Long]
-    val sizes = data.map { r =>
-      sizeByRddId.getOrElseUpdate(r.id, r.persist(StorageLevel.MEMORY_AND_DISK).count())
-    }
-    val rels = query.atoms.indices.map { i =>
-      Rel(query.atoms(i).name, query.atoms(i).attrs.map(query.attrId), data(i), sizes(i))
-    }.toVector
+    val persisted   = collection.mutable.ArrayBuffer.empty[RDD[Array[Long]]]
+    try {
+      val sizes = data.map { r =>
+        sizeByRddId.getOrElseUpdate(r.id, {
+          if (r.getStorageLevel == StorageLevel.NONE) persisted += r.persist(StorageLevel.MEMORY_AND_DISK)
+          r.count()
+        })
+      }
+      val rels = query.atoms.indices.map { i =>
+        Rel(query.atoms(i).name, query.atoms(i).attrs.map(query.attrId), data(i), sizes(i))
+      }.toVector
 
-    cfg.strategy match {
-      case CoOptimization     => runCoOptimized(spark, query, rels, budget, cfg)
-      case CommunicationFirst => runCommunicationFirst(spark, query, rels, budget, cfg)
-    }
+      val tOpt0 = System.nanoTime()
+      val (plan, shares, groups) = cfg.strategy match {
+        case CoOptimization     => coOptimize(spark, query, rels, budget, cfg)
+        case CommunicationFirst => communicationFirst(query, rels, budget, cfg)
+      }
+      val optSec = (System.nanoTime() - tOpt0) / 1e9
+      executePlan(spark, query, rels, groups, plan, shares, budget, optSec)
+    } finally persisted.foreach(_.unpersist(blocking = false))
   }
 
-  private def runCoOptimized(
-      spark: SparkSession,
-      query: Hypergraph,
-      rels: Vector[Rel],
-      budget: Int,
-      cfg: Config,
-  ): (RDD[Array[Long]], Report) = {
-    val tOpt0   = System.nanoTime()
+  /** The paper's plan: GHD, sampling-based cost model, Algorithm 2. Returns
+    * the plan, the shares of the rewritten query, and the hypernodes' atom
+    * groups.
+    */
+  private def coOptimize(spark: SparkSession, query: Hypergraph, rels: Vector[Rel], budget: Int,
+      cfg: Config): (Plan, Shares.Result, Seq[Vector[Int]]) = {
     val tree    = GHD.decompose(query)
     Console.err.println(s"[adj] tree: $tree")
     val sampler = new Sampler(spark, rels, samples = cfg.samples)
@@ -102,51 +111,18 @@ object Adj {
       numServers = budget, cubeBudget = budget, memoryTuples = cfg.memoryTuples)
     model.alpha; model.betaPre // force calibration inside the optimization phase
     val plan    = new Optimizer(model).optimize()
-    val finalShares = model.shares(plan.preCompute)
-    val optSec  = (System.nanoTime() - tOpt0) / 1e9
-    Console.err.println(f"[adj] plan: $plan shares=$finalShares optSec=$optSec%.1f " +
+    val shares  = model.shares(plan.preCompute)
+    Console.err.println(f"[adj] plan: $plan shares=$shares " +
       f"alpha=${model.alpha}%.3g betaRaw=${model.betaRaw}%.3g betaPre=${model.betaPre}%.3g")
-
-    // Pre-compute the chosen bags with the one-round executor itself; the
-    // bag relations are persisted since the final join reads them again.
-    val tPre0 = System.nanoTime()
-    val bagRdds = collection.mutable.ArrayBuffer.empty[org.apache.spark.rdd.RDD[Array[Long]]]
-    val finalRels = tree.nodes.indices.flatMap { v =>
-      val node = tree.nodes(v)
-      if (plan.preCompute.contains(v) && node.atomIdxs.length > 1) {
-        val subRels  = node.atomIdxs.map(rels)
-        // The bag sub-join gets its own connected attribute order: the
-        // global plan order is chosen against the whole query's constraints
-        // and can leave a bag attribute unconstrained for several levels.
-        val subOrd   = Optimizer.connectedOrder(node.atomIdxs.map(query.edges))
-        val (rdd0, subT, _) = MultiwayJoin.executeOptimized(
-          spark, subRels, subOrd, query.numAttrs, budget)
-        val rdd = rdd0.persist(StorageLevel.MEMORY_AND_DISK)
-        rdd.count()
-        bagRdds += rdd
-        val attrsAsc = node.attrs.toVector.sorted
-        Console.err.println(s"[adj] precomputed bag$v: ${subT.resultCount} tuples " +
-          f"(comm=${subT.communicationSec}%.1fs comp=${subT.computationSec}%.1fs)")
-        Seq(Rel(s"bag$v", attrsAsc, rdd, subT.resultCount))
-      } else node.atomIdxs.map(rels)
-    }
-    val preSec = (System.nanoTime() - tPre0) / 1e9
-
-    val (result, t) = MultiwayJoin.execute(spark, finalRels, plan.ord, finalShares.p, cfg.cacheSize)
-    bagRdds.foreach(_.unpersist(blocking = false))
-    (result, Report(optSec, preSec, t.communicationSec, t.computationSec, plan,
-      finalShares.shuffledTuples, t.resultCount))
+    (plan, shares, tree.nodes.map(_.atomIdxs))
   }
 
-  private def runCommunicationFirst(
-      spark: SparkSession,
-      query: Hypergraph,
-      rels: Vector[Rel],
-      budget: Int,
-      cfg: Config,
-  ): (RDD[Array[Long]], Report) = {
-    val tOpt0 = System.nanoTime()
-    val shares = repro.core.hcube.Shares.optimize(
+  /** HCubeJ's plan: shares over the raw relations, one group per atom, no
+    * pre-computation.
+    */
+  private def communicationFirst(query: Hypergraph, rels: Vector[Rel], budget: Int,
+      cfg: Config): (Plan, Shares.Result, Seq[Vector[Int]]) = {
+    val shares = Shares.optimize(
       rels.map(r => (r.attrs.toSet, r.size)), query.numAttrs, budget, cfg.memoryTuples)
     // HCubeJ selects its attribute order from ALL n! orders using sketch-style
     // statistics that are computation-oblivious and unreliable on cyclic
@@ -154,11 +130,44 @@ object Adj {
     // valid order). We model that with the query's textual attribute order —
     // for Q4–Q6 an *invalid* order w.r.t. the hypertree, which defers chord
     // constraints and inflates the intermediate T^i exactly as Fig. 8 shows.
-    val ord = (0 until query.numAttrs).toArray
-    val optSec = (System.nanoTime() - tOpt0) / 1e9
-    val (result, t) = MultiwayJoin.execute(spark, rels, ord, shares.p, cfg.cacheSize)
-    val plan = Plan(Set.empty, Vector.empty, ord, 0.0)
-    (result, Report(optSec, 0.0, t.communicationSec, t.computationSec, plan,
+    val plan = Plan(Set.empty, Vector.empty, (0 until query.numAttrs).toArray, 0.0)
+    (plan, shares, query.atoms.indices.map(Vector(_)))
+  }
+
+  /** Executes a plan for either strategy: pre-computes the bags of the
+    * chosen multi-atom groups, then runs the final one-round join over the
+    * bags and the remaining atoms, in group order.
+    */
+  private def executePlan(spark: SparkSession, query: Hypergraph, rels: Vector[Rel],
+      groups: Seq[Vector[Int]], plan: Plan, shares: Shares.Result, budget: Int,
+      optSec: Double): (RDD[Array[Long]], Report) = {
+    // Pre-compute the chosen bags with the one-round executor itself; the
+    // bag relations are persisted since the final join reads them again.
+    val tPre0 = System.nanoTime()
+    val bagRdds = collection.mutable.ArrayBuffer.empty[RDD[Array[Long]]]
+    val finalRels = groups.indices.flatMap { v =>
+      val atomIdxs = groups(v)
+      if (plan.preCompute.contains(v) && atomIdxs.length > 1) {
+        // The bag sub-join gets its own connected attribute order: the
+        // global plan order is chosen against the whole query's constraints
+        // and can leave a bag attribute unconstrained for several levels.
+        val subOrd = Optimizer.connectedOrder(atomIdxs.map(query.edges))
+        val (rdd0, subT, _) = MultiwayJoin.executeOptimized(
+          spark, atomIdxs.map(rels), subOrd, query.numAttrs, budget)
+        val rdd = rdd0.persist(StorageLevel.MEMORY_AND_DISK)
+        rdd.count()
+        bagRdds += rdd
+        Console.err.println(s"[adj] precomputed bag$v: ${subT.resultCount} tuples " +
+          f"(comm=${subT.communicationSec}%.1fs comp=${subT.computationSec}%.1fs)")
+        // The executor emits bag tuples in ascending attribute-id order.
+        Seq(Rel(s"bag$v", subOrd.sorted.toVector, rdd, subT.resultCount))
+      } else atomIdxs.map(rels)
+    }
+    val preSec = if (bagRdds.isEmpty) 0.0 else (System.nanoTime() - tPre0) / 1e9
+
+    val (result, t) = MultiwayJoin.execute(spark, finalRels, plan.ord, shares.p)
+    bagRdds.foreach(_.unpersist(blocking = false))
+    (result, Report(optSec, preSec, t.communicationSec, t.computationSec, plan,
       shares.shuffledTuples, t.resultCount))
   }
 

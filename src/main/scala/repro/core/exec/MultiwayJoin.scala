@@ -17,36 +17,27 @@ import repro.core.lftj.{Leapfrog, LeapfrogStats, TrieRelation}
 object MultiwayJoin {
 
   /** Wall-clock phases of one execution, in seconds, plus the result size
-    * (counted while forcing the computation — the result RDD itself is NOT
-    * persisted, so large outputs do not have to be materialized in memory;
-    * re-collecting it recomputes the join).
+    * (counted while forcing the computation).
     */
   final case class Timings(communicationSec: Double, computationSec: Double, resultCount: Long)
-
-  /** Derives the trie level of every attribute from an attribute order.
-    *
-    * @param ord attribute ids in evaluation order; must cover all attrs used
-    */
-  def levelOf(ord: Array[Int]): Map[Int, Int] = ord.zipWithIndex.toMap
 
   /** Runs the one-round join.
     *
     * @param rels       input relations (global attribute ids per column)
     * @param ord        Leapfrog attribute order over exactly the attrs used
     * @param p          HCube share vector indexed by attribute id
-    * @param cacheSize  > 0 enables the CacheTrieJoin intersection cache
     * @return (result RDD of tuples in attribute-id order, timings); the
-    *         result is persisted and already materialized (counted), so the
-    *         reported phases measure real work
+    *         result is counted to time the computation phase but NOT
+    *         persisted, so consuming it runs trie build and Leapfrog again
+    *         over the shuffle output
     */
   def execute(
       spark: SparkSession,
       rels: Seq[Rel],
       ord: Array[Int],
       p: Array[Int],
-      cacheSize: Int = 0,
   ): (RDD[Array[Long]], Timings) = {
-    val lvl   = levelOf(ord)
+    val lvl   = ord.zipWithIndex.toMap
     val n     = ord.length
     // Row reorder: output column = attribute id ascending over used attrs.
     val outAttrs = ord.sorted
@@ -67,8 +58,7 @@ object MultiwayJoin {
           val tries = relAttrs.indices.map { ri =>
             TrieRelation.build(relAttrs(ri), lvl, perRel(ri))
           }
-          val lf = new Leapfrog(tries.toIndexedSeq, n, cacheSize = cacheSize,
-                                stats = new LeapfrogStats(n))
+          val lf = new Leapfrog(tries.toIndexedSeq, n, stats = new LeapfrogStats(n))
           lf.map { row =>
             val out = new Array[Long](n)
             var k = 0
@@ -93,10 +83,9 @@ object MultiwayJoin {
       ord: Array[Int],
       numAttrs: Int,
       cubeBudget: Int,
-      cacheSize: Int = 0,
   ): (RDD[Array[Long]], Timings, Array[Int]) = {
     val shares = Shares.optimize(rels.map(r => (r.attrs.toSet, r.size)), numAttrs, cubeBudget)
-    val (rdd, t) = execute(spark, rels, ord, shares.p, cacheSize)
+    val (rdd, t) = execute(spark, rels, ord, shares.p)
     (rdd, t, shares.p)
   }
 }

@@ -33,16 +33,8 @@ final class Sampler(
     spark: SparkSession,
     rels: IndexedSeq[Rel],
     val samples: Int = 500,
-    seed: Long = 42L,
-    maxExtensionsPerSample: Long = 200000L,
 ) {
-
-  /** @param card    estimated cardinality of the (projected) join
-    * @param valA    |val(A)| for the anchor attribute
-    * @param anchor  the anchor attribute id
-    * @param wallSec wall time of this estimate
-    */
-  final case class Estimate(card: Double, valA: Long, anchor: Int, wallSec: Double)
+  import Sampler.{Estimate, MaxExtensionsPerSample, Seed}
 
   private val memo = collection.mutable.Map.empty[(Set[Int], Vector[Int]), Estimate]
 
@@ -106,7 +98,7 @@ final class Sampler(
     }
 
     // Uniform sample from val(A), deterministic in (seed, attrSet, rels).
-    val rnd   = new scala.util.Random(seed ^ attrSet.hashCode ^ relIdxs.hashCode)
+    val rnd   = new scala.util.Random(Seed ^ attrSet.hashCode ^ relIdxs.hashCode)
     val pool  = valSet.toArray
     val drawn =
       if (pool.length <= samples) pool
@@ -144,7 +136,7 @@ final class Sampler(
     val tries = localRels.map { case (attrs, rows) => TrieRelation.build(attrs, lvl, rows) }
 
     // Deviation from the paper (documented in DESIGN.md): each per-sample
-    // constrained Leapfrog is stopped after `maxExtensionsPerSample`
+    // constrained Leapfrog is stopped after `MaxExtensionsPerSample`
     // extensions. On heavy hubs a single |T_{A=a}| evaluation can cost a
     // large fraction of the query itself; the capped count is a lower bound
     // that preserves the order of magnitude the optimizer needs.
@@ -155,7 +147,7 @@ final class Sampler(
       val lf    = new Leapfrog(tries, ordAttrs.length, firstFixed = Some(a), stats = stats)
       val start = stats.extensions
       var c     = 0L
-      while (lf.hasNext && stats.extensions - start < maxExtensionsPerSample) {
+      while (lf.hasNext && stats.extensions - start < MaxExtensionsPerSample) {
         lf.next(); c += 1
       }
       total += c
@@ -169,4 +161,17 @@ final class Sampler(
     wallSecTotal += sec
     Estimate(card, valCount, anchor, sec)
   }
+}
+
+object Sampler {
+
+  /** @param card    estimated cardinality of the (projected) join
+    * @param valA    |val(A)| for the anchor attribute
+    * @param anchor  the anchor attribute id
+    * @param wallSec wall time of this estimate
+    */
+  final case class Estimate(card: Double, valA: Long, anchor: Int, wallSec: Double)
+
+  private val Seed                   = 42L
+  private val MaxExtensionsPerSample = 200000L // see the cap comment in `compute`
 }

@@ -1,8 +1,11 @@
 package repro.core.adj
 
+import org.apache.spark.storage.StorageLevel
+
 import repro.{Oracle, SparkSpec}
 import repro.baselines.SparkSqlJoin
 import repro.core.{SparkTestData, TestHelpers}
+import repro.core.hcube.Shares
 import repro.core.hypergraph.QueryLibrary
 
 class AdjSpec extends SparkSpec {
@@ -28,16 +31,9 @@ class AdjSpec extends SparkSpec {
       Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
       assert(report.preComputingSec == 0.0, s"$name pre-computed under HCubeJ: $report")
       assert(report.plan.preCompute.isEmpty)
-    }
-  }
-
-  test("HCubeJ+Cache variant matches the oracle") {
-    val g = TestHelpers.randomGraph(nodes = 14, edges = 36, seed = 33)
-    val gdf = SparkTestData.graphDf(spark, g)
-    for (q <- Seq(QueryLibrary.q2, QueryLibrary.q4)) {
-      val (df, _) = Adj.runOnGraph(spark, q, gdf,
-        smallCfg.copy(strategy = Adj.CommunicationFirst, cacheSize = 100000))
-      Oracle.assertEquivalent(df, SparkSqlJoin.sql(q, "e"), "e" -> gdf)
+      assert(report.plan.ord.toSeq == (0 until q.numAttrs), s"$name: ${report.plan}")
+      val raw = q.edges.map(e => (e, g.length.toLong))
+      assert(report.shuffledTuples == Shares.optimize(raw, q.numAttrs, 8).shuffledTuples, name)
     }
   }
 
@@ -86,6 +82,24 @@ class AdjSpec extends SparkSpec {
     val gdf = SparkTestData.graphDf(spark, Seq.empty)
     val (df, _) = Adj.runOnGraph(spark, QueryLibrary.q1, gdf, smallCfg)
     assert(df.count() == 0)
+  }
+
+  test("run keeps the caller's storage level and unpersists only what it persisted") {
+    val g   = TestHelpers.randomGraph(nodes = 14, edges = 32, seed = 38)
+    val gdf = SparkTestData.graphDf(spark, g)
+    val q   = QueryLibrary.q4
+    val sc  = spark.sparkContext
+
+    val cached = sc.parallelize(g, 4).cache()
+    val (a, _) = Adj.run(spark, q, Vector.fill(q.numAtoms)(cached), smallCfg)
+    Oracle.assertEquivalent(Adj.toDf(spark, a, q.attributes), SparkSqlJoin.sql(q, "e"), "e" -> gdf)
+    assert(cached.getStorageLevel == StorageLevel.MEMORY_ONLY)
+    cached.unpersist(blocking = true)
+
+    val before = sc.getPersistentRDDs.keySet
+    val (b, _) = Adj.run(spark, q, Vector.fill(q.numAtoms)(sc.parallelize(g, 4)), smallCfg)
+    assert(b.count() == a.count())
+    assert(sc.getPersistentRDDs.keySet == before)
   }
 
   test("run rejects mismatched data arity") {

@@ -85,7 +85,7 @@ class OptimizerSpec extends SparkSpec {
 
   test("attributeOrder puts higher-degree attributes first within a node") {
     val (q, tree, opt) = optimizerFor("Q5")
-    val anyTraversal = tree.validTraversalOrders.head
+    val anyTraversal = opt.optimize().traversal
     val ord = opt.attributeOrder(anyTraversal)
     // Within the first node, degrees must be non-increasing.
     val firstAttrs = tree.nodes(anyTraversal.head).attrs

@@ -48,43 +48,56 @@ class HCubeSpec extends SparkSpec {
     assert(ct.intersect(cs).size == 1)
   }
 
-  test("push shuffle partitions every copy to its cube id") {
+  /** The (cube, relation index, tuple) copies a shuffle under `p` must
+    * deliver, computed on the driver from `cubesFor`.
+    */
+  private def expectedCopies(rels: Seq[Rel], p: Array[Int]): Set[(Int, Int, Vector[Long])] =
+    rels.zipWithIndex.flatMap { case (rel, ri) =>
+      rel.rdd.collect().flatMap(t => HCube.cubesFor(rel.attrs, t, p).map(c => (c, ri, t.toVector)))
+    }.toSet
+
+  /** The copies the pull shuffle actually delivered, unpacked from blocks. */
+  private def pulledCopies(rels: Seq[Rel], p: Array[Int]): Seq[(Int, Int, Vector[Long])] =
+    HCube.shufflePull(rels, p)
+      .flatMap { case (c, (ri, block)) => block.map(t => (c, ri, t.toVector)) }
+      .collect().toSeq
+
+  test("pull shuffle partitions every block to its cube id") {
     val sc = spark.sparkContext
     val g  = TestHelpers.randomGraph(10, 20, 1)
     val rel = Rel("R", Vector(0, 1), sc.parallelize(g, 3), g.length.toLong)
     val p = Array(2, 2)
-    val out = HCube.shufflePush(Seq(rel), p)
+    val out = HCube.shufflePull(Seq(rel), p)
     assert(out.getNumPartitions == 4)
     val ok = out.mapPartitionsWithIndex { (pid, it) =>
       Iterator.single(it.forall(_._1 == pid))
     }.collect()
     assert(ok.forall(identity))
     // Every tuple lands in exactly dup(R,p)=1 cube (both attrs bound).
-    assert(out.count() == g.length.toLong)
+    val copies = pulledCopies(Seq(rel), p)
+    assert(copies.length == g.length)
+    assert(copies.toSet == expectedCopies(Seq(rel), p))
   }
 
-  test("pull shuffle carries the same tuples as push, in blocks") {
+  test("pull shuffle carries exactly the cubesFor copies, in blocks") {
     val sc = spark.sparkContext
     val g  = TestHelpers.randomGraph(12, 30, 2)
     val rel = Rel("R", Vector(0, 1), sc.parallelize(g, 3), g.length.toLong)
     val p = Array(2, 1)
-    val push = HCube.shufflePush(Seq(rel), p)
-      .map { case (c, (ri, t)) => (c, ri, t.toVector) }.collect().toSet
-    val pull = HCube.shufflePull(Seq(rel), p)
-      .flatMap { case (c, (ri, block)) => block.map(t => (c, ri, t.toVector)) }
-      .collect().toSet
-    assert(push == pull)
-    // Pull moves fewer shuffle records than push when blocks batch tuples.
-    val pushRecords = HCube.shufflePush(Seq(rel), p).count()
-    val pullRecords = HCube.shufflePull(Seq(rel), p).count()
-    assert(pullRecords <= pushRecords)
+    val copies = pulledCopies(Seq(rel), p)
+    assert(copies.toSet == expectedCopies(Seq(rel), p))
+    // Blocks batch tuples: fewer shuffle records than tuple copies.
+    assert(HCube.shufflePull(Seq(rel), p).count() <= copies.length)
   }
 
   test("unary relation is replicated across the free dimension") {
     val sc  = spark.sparkContext
     val rel = Rel("S", Vector(0), sc.parallelize(Seq(Array(1L), Array(2L)), 1), 2L)
     val p = Array(1, 3) // attr 1 free → every tuple goes to 3 cubes
-    assert(HCube.shufflePush(Seq(rel), p).count() == 6L)
+    val copies = pulledCopies(Seq(rel), p)
+    assert(copies.length == 6)
+    assert(copies.toSet == expectedCopies(Seq(rel), p))
+    assert(copies.map(_._1).toSet == Set(0, 1, 2))
   }
 
   test("two relations meet in the right cubes (joinability preserved)") {
@@ -96,14 +109,13 @@ class HCubeSpec extends SparkSpec {
       Rel("S", Vector(1, 2), sc.parallelize(s, 1), 2L),
     )
     val p = Array(2, 2, 2)
-    val perCube = HCube.shufflePush(rels, p)
-      .map { case (c, (ri, t)) => (c, (ri, t.toVector)) }
-      .groupByKey().collect().toMap
+    val copies = pulledCopies(rels, p)
+    assert(copies.toSet == expectedCopies(rels, p))
+    val perCube = copies.groupBy(_._1).view.mapValues(_.map(x => (x._2, x._3))).toMap
     // For each joinable pair, some cube holds both tuples.
     for ((rt, st) <- Seq((r(0), s(0)), (r(1), s(1)))) {
       val hit = perCube.values.exists { ts =>
-        ts.exists(x => x._1 == 0 && x._2 == rt.toVector) &&
-          ts.exists(x => x._1 == 1 && x._2 == st.toVector)
+        ts.contains((0, rt.toVector)) && ts.contains((1, st.toVector))
       }
       assert(hit, s"pair ${rt.toVector} / ${st.toVector} never co-located")
     }
