@@ -78,8 +78,12 @@ object Harness {
       case Adj.CommunicationFirst => "Communication-First"
     }
     withBudget(spark, budgetSec) {
-      val (_, report) = Adj.runOnGraph(spark, query, graph,
+      val edges = graph.rdd.map(r => Array(r.getLong(0), r.getLong(1)))
+      val (result, report) = Adj.run(spark, query, Vector.fill(query.numAtoms)(edges),
         Adj.Config(strategy = strategy, samples = samples))
+      // Trie build and Leapfrog run in this count, which fills the report's
+      // Computation and result count; a timeout cancels it.
+      result.count()
       report
     } match {
       case Right(r) =>

@@ -39,16 +39,27 @@ object Adj {
       memoryTuples: Option[Double] = None,
   )
 
-  /** Per-stage wall-clock report matching the paper's Tables II–IV columns. */
+  /** Per-stage wall-clock report matching the paper's Tables II–IV columns.
+    *
+    * The result of [[run]] is lazy: its trie build and Leapfrog run in the
+    * job that consumes it. `computationSec`, `resultCount` and `levelCounts`
+    * come from that job's join tasks, so they read 0 (or partial figures)
+    * until the result has been fully consumed, and a second consumption
+    * replaces rather than adds to them.
+    */
   final case class Report(
       optimizationSec: Double,
       preComputingSec: Double,
-      communicationSec: Double,
-      computationSec: Double,
       plan: Plan,
       shuffledTuples: Double,
-      resultCount: Long,
+      exec: MultiwayJoin.Timings,
   ) {
+    def communicationSec: Double = exec.communicationSec
+    /** Wall span from the first join task's start to the last one's end. */
+    def computationSec: Double = exec.computationSec
+    def resultCount: Long = exec.resultCount
+    /** Actual |T^{i+1}| per level i of `plan.ord`, summed over cubes. */
+    def levelCounts: Array[Long] = exec.levelCounts
     def totalSec: Double = optimizationSec + preComputingSec + communicationSec + computationSec
     override def toString: String =
       f"opt=$optimizationSec%.2fs pre=$preComputingSec%.2fs comm=$communicationSec%.2fs " +
@@ -61,9 +72,14 @@ object Adj {
     * counted, sampled and shuffled) and unpersisted before returning; inputs
     * already persisted keep the caller's storage level.
     *
+    * Optimization, bag pre-compute and the HCube shuffle's map stage run
+    * here; the final join's trie build and Leapfrog run once per consumption
+    * of the returned result.
+    *
     * @param data one RDD per query atom; columns in the atom's attribute order
     * @return result tuples in ascending attribute-id order (= the query's
-    *         first-appearance attribute order), plus the cost report
+    *         first-appearance attribute order), plus the cost report, whose
+    *         computation figures are valid once the result is fully consumed
     */
   def run(
       spark: SparkSession,
@@ -141,8 +157,8 @@ object Adj {
   private def executePlan(spark: SparkSession, query: Hypergraph, rels: Vector[Rel],
       groups: Seq[Vector[Int]], plan: Plan, shares: Shares.Result, budget: Int,
       optSec: Double): (RDD[Array[Long]], Report) = {
-    // Pre-compute the chosen bags with the one-round executor itself; the
-    // bag relations are persisted since the final join reads them again.
+    // Pre-compute the chosen bags with the one-round executor itself; each
+    // bag is persisted so the final join's shuffle reads it without a rerun.
     val tPre0 = System.nanoTime()
     val bagRdds = collection.mutable.ArrayBuffer.empty[RDD[Array[Long]]]
     val finalRels = groups.indices.flatMap { v =>
@@ -154,28 +170,30 @@ object Adj {
         val subOrd = Optimizer.connectedOrder(atomIdxs.map(query.edges))
         val (rdd0, subT, _) = MultiwayJoin.executeOptimized(
           spark, atomIdxs.map(rels), subOrd, query.numAttrs, budget)
-        val rdd = rdd0.persist(StorageLevel.MEMORY_AND_DISK)
-        rdd.count()
+        // One count both materializes the bag and gives its size.
+        val rdd  = rdd0.persist(StorageLevel.MEMORY_AND_DISK)
+        val size = rdd.count()
         bagRdds += rdd
-        Console.err.println(s"[adj] precomputed bag$v: ${subT.resultCount} tuples " +
+        Console.err.println(s"[adj] precomputed bag$v: $size tuples " +
           f"(comm=${subT.communicationSec}%.1fs comp=${subT.computationSec}%.1fs)")
         // The executor emits bag tuples in ascending attribute-id order.
-        Seq(Rel(s"bag$v", subOrd.sorted.toVector, rdd, subT.resultCount))
+        Seq(Rel(s"bag$v", subOrd.sorted.toVector, rdd, size))
       } else atomIdxs.map(rels)
     }
     val preSec = if (bagRdds.isEmpty) 0.0 else (System.nanoTime() - tPre0) / 1e9
 
+    // The final join's shuffle has read the bags once this returns.
     val (result, t) = MultiwayJoin.execute(spark, finalRels, plan.ord, shares.p)
     bagRdds.foreach(_.unpersist(blocking = false))
-    (result, Report(optSec, preSec, t.communicationSec, t.computationSec, plan,
-      shares.shuffledTuples, t.resultCount))
+    (result, Report(optSec, preSec, plan, shares.shuffledTuples, t))
   }
 
   // ---------------------------------------------------------------- adapters
 
   /** Binds every atom of a subgraph query to the same graph (columns
     * (src, dst)) and returns the result as a DataFrame with the query's
-    * attribute names — the experiment setup of Sec. VII-A.
+    * attribute names — the experiment setup of Sec. VII-A. As with [[run]],
+    * the report's computation figures fill in as the DataFrame is consumed.
     */
   def runOnGraph(
       spark: SparkSession,

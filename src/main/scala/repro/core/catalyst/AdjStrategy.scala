@@ -7,6 +7,7 @@ import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference,
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LogicalPlan, Project}
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
+import org.apache.spark.sql.execution.metric.{SQLMetric, SQLMetrics}
 import org.apache.spark.sql.types.LongType
 
 import repro.core.adj.Adj
@@ -126,6 +127,11 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
       Atom(s"L$li", classes.map(c => s"x$c").toVector)
     }
     val query = Hypergraph(atoms.toVector)
+    // The executor has no null: a null in a column bound by two or more
+    // leaves never satisfies SQL equality, so AdjJoinExec drops its row, but
+    // a column only one leaf binds passes its nulls to the output — bail.
+    val occurrences = classOf.groupBy(identity).view.mapValues(_.length).toMap
+    if (allAttrs.indices.exists(i => allAttrs(i).nullable && occurrences(classOf(i)) == 1)) return None
     // Map the matched plan's own output columns (which may be a pruned
     // subset of the leaf columns) to their attribute classes.
     val outputClasses = plan.output.map(a => classOf(idx(a.exprId))).toVector
@@ -136,6 +142,10 @@ final case class AdjStrategy(session: SparkSession) extends SparkStrategy {
 /** Physical operator running the ADJ pipeline for a recognized multiway
   * equi-join. Children produce the input relations; the operator output
   * mirrors the logical join's column list (one value per attribute class).
+  *
+  * Input rows with a null in a join column are dropped: they join nothing.
+  * The logged `Adj.Report` is written before the result is consumed, so its
+  * computation figures read 0; `numOutputRows` counts the rows delivered.
   */
 final case class AdjJoinExec(
     output: Seq[Attribute],
@@ -145,10 +155,16 @@ final case class AdjJoinExec(
     cfg: Adj.Config,
 ) extends SparkPlan {
 
+  override lazy val metrics: Map[String, SQLMetric] = Map(
+    "numOutputRows" -> SQLMetrics.createMetric(sparkContext, "number of output rows"))
+
   override protected def doExecute(): RDD[InternalRow] = {
     val spark = SparkSession.active
     val data = children.toVector.map { child =>
-      child.execute().map { row =>
+      // AdjStrategy admits a nullable column only where two or more leaves
+      // bind its class: a null there never satisfies SQL equality.
+      val nullable = child.output.indices.filter(child.output(_).nullable).toArray
+      child.execute().filter(row => !nullable.exists(row.isNullAt)).map { row =>
         val arr = new Array[Long](row.numFields)
         var i = 0
         while (i < arr.length) { arr(i) = row.getLong(i); i += 1 }
@@ -161,9 +177,11 @@ final case class AdjJoinExec(
     // column reads its class's value.
     val outClasses = columnClass.toArray
     val types      = output.map(_.dataType).toArray
+    val numOutputRows = longMetric("numOutputRows")
     result.mapPartitions { it =>
       val proj = UnsafeProjection.create(types)
       it.map { t =>
+        numOutputRows += 1
         val row = InternalRow.fromSeq(outClasses.map(c => t(c)).toSeq)
         proj(row).copy()
       }

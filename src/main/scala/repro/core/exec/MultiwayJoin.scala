@@ -1,8 +1,10 @@
 package repro.core.exec
 
+import java.time.Instant
+
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.util.AccumulatorV2
 
 import repro.core.hcube.{HCube, Rel, Shares}
 import repro.core.lftj.{Leapfrog, LeapfrogStats, TrieRelation}
@@ -16,20 +18,58 @@ import repro.core.lftj.{Leapfrog, LeapfrogStats, TrieRelation}
   */
 object MultiwayJoin {
 
-  /** Wall-clock phases of one execution, in seconds, plus the result size
-    * (counted while forcing the computation).
+  /** What one hypercube's join task recorded when its output was drained:
+    * the task's wall span in epoch microseconds, and Leapfrog's |T^{i+1}|
+    * per level i of the attribute order (the last level counts output rows).
     */
-  final case class Timings(communicationSec: Double, computationSec: Double, resultCount: Long)
+  final case class CubeStats(startUs: Long, endUs: Long, levelCounts: Array[Long]) {
+    def rows: Long = levelCounts.last
+  }
 
-  /** Runs the one-round join.
+  /** [[CubeStats]] keyed by partition (= cube) id. A cube's later record
+    * replaces its earlier one, so consuming the result twice does not double
+    * the figures.
+    */
+  final class CubeAccumulator extends AccumulatorV2[(Int, CubeStats), Map[Int, CubeStats]] {
+    // Written only by the thread merging task updates; read by any.
+    @volatile private var cubes = Map.empty[Int, CubeStats]
+    override def isZero: Boolean = cubes.isEmpty
+    override def copy(): CubeAccumulator = { val c = new CubeAccumulator; c.cubes = cubes; c }
+    override def reset(): Unit = cubes = Map.empty
+    override def add(v: (Int, CubeStats)): Unit = cubes += v
+    override def merge(other: AccumulatorV2[(Int, CubeStats), Map[Int, CubeStats]]): Unit =
+      cubes ++= other.value
+    override def value: Map[Int, CubeStats] = cubes
+  }
+
+  /** The communication phase's wall time, and the join tasks' figures.
+    * Nothing forces the join, so `computationSec`, `resultCount` and
+    * `levelCounts` fill in as the result is consumed, and are complete once
+    * every partition of it has been drained.
+    */
+  final case class Timings(communicationSec: Double, cubes: CubeAccumulator) {
+    /** Wall span from the first join task's start to the last one's end. */
+    def computationSec: Double = {
+      val cs = cubes.value.values
+      if (cs.isEmpty) 0.0 else (cs.map(_.endUs).max - cs.map(_.startUs).min) / 1e6
+    }
+    def resultCount: Long = cubes.value.values.map(_.rows).sum
+    /** |T^{i+1}| per level i of the attribute order, summed over cubes. */
+    def levelCounts: Array[Long] =
+      cubes.value.values.map(_.levelCounts).reduceOption((a, b) => a.zip(b).map { case (x, y) => x + y })
+        .getOrElse(Array.emptyLongArray)
+  }
+
+  private def nowUs(): Long = { val t = Instant.now(); t.getEpochSecond * 1000000L + t.getNano / 1000 }
+
+  /** Runs the HCube shuffle and returns the lazy join over its output.
     *
     * @param rels       input relations (global attribute ids per column)
     * @param ord        Leapfrog attribute order over exactly the attrs used
     * @param p          HCube share vector indexed by attribute id
     * @return (result RDD of tuples in attribute-id order, timings); the
-    *         result is counted to time the computation phase but NOT
-    *         persisted, so consuming it runs trie build and Leapfrog again
-    *         over the shuffle output
+    *         shuffle's map stage has run, but trie build and Leapfrog run
+    *         only when the result is consumed, once per consumption
     */
   def execute(
       spark: SparkSession,
@@ -44,33 +84,45 @@ object MultiwayJoin {
     val outPerm  = outAttrs.map(a => lvl(a)) // out col k takes binding(levels)
 
     val t0       = System.nanoTime()
-    val shuffled = HCube.shufflePull(rels, p).persist(StorageLevel.MEMORY_AND_DISK)
-    shuffled.count() // force the shuffle: this is the communication phase
+    val shuffled = HCube.shufflePull(rels, p)
+    shuffled.count() // run the shuffle's map stage: this is the communication phase
     val t1 = System.nanoTime()
 
+    val cubes = new CubeAccumulator
+    spark.sparkContext.register(cubes)
     val relAttrs = rels.map(_.attrs).toArray
     val result = shuffled
-      .mapPartitions { it =>
+      .mapPartitionsWithIndex { (cube, it) =>
+        val start  = nowUs()
+        val stats  = new LeapfrogStats(n)
         val perRel = Array.fill(relAttrs.length)(collection.mutable.ArrayBuffer.empty[Array[Long]])
         it.foreach { case (_, (ri, block)) => perRel(ri) ++= block }
-        if (perRel.exists(_.isEmpty)) Iterator.empty
-        else {
-          val tries = relAttrs.indices.map { ri =>
-            TrieRelation.build(relAttrs(ri), lvl, perRel(ri))
+        val rows =
+          if (perRel.exists(_.isEmpty)) Iterator.empty
+          else {
+            val tries = relAttrs.indices.map { ri =>
+              TrieRelation.build(relAttrs(ri), lvl, perRel(ri))
+            }
+            new Leapfrog(tries.toIndexedSeq, n, stats = stats).map { row =>
+              val out = new Array[Long](n)
+              var k = 0
+              while (k < n) { out(k) = row(outPerm(k)); k += 1 }
+              out
+            }
           }
-          val lf = new Leapfrog(tries.toIndexedSeq, n, stats = new LeapfrogStats(n))
-          lf.map { row =>
-            val out = new Array[Long](n)
-            var k = 0
-            while (k < n) { out(k) = row(outPerm(k)); k += 1 }
-            out
+        // Record the cube's figures when its output is drained.
+        new Iterator[Array[Long]] {
+          private var open = true
+          override def hasNext: Boolean = {
+            val more = rows.hasNext
+            if (!more && open) { open = false; cubes.add(cube -> CubeStats(start, nowUs(), stats.levelCounts)) }
+            more
           }
+          override def next(): Array[Long] = rows.next()
         }
       }
-    val cnt = result.count() // force the join: this is the computation phase
-    val t2 = System.nanoTime()
-    shuffled.unpersist(blocking = false)
-    (result, Timings((t1 - t0) / 1e9, (t2 - t1) / 1e9, cnt))
+      .setName("leapfrog")
+    (result, Timings((t1 - t0) / 1e9, cubes))
   }
 
   /** Convenience: optimizes shares for the given relations and budget, then

@@ -1,5 +1,9 @@
 package repro.core.adj
 
+import scala.collection.mutable.ArrayBuffer
+
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, StageInfo}
 import org.apache.spark.storage.StorageLevel
 
 import repro.{Oracle, SparkSpec}
@@ -11,6 +15,26 @@ import repro.core.hypergraph.QueryLibrary
 class AdjSpec extends SparkSpec {
 
   private val smallCfg = Adj.Config(samples = 60, cubeBudget = Some(8))
+
+  /** Records each job's result stage (the job's highest stage id). */
+  private final class ResultStages extends SparkListener {
+    private val stages = ArrayBuffer.empty[StageInfo]
+    override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+      stages += e.stageInfos.maxBy(_.stageId)
+    }
+    /** Result stages so far that ran a trie build and Leapfrog. */
+    def leapfrog(): Seq[StageInfo] = {
+      TestListenerBus.drain(spark.sparkContext)
+      synchronized(stages.filter(_.rddInfos.exists(_.name == "leapfrog")).toVector)
+    }
+  }
+
+  private def withResultStages(body: ResultStages => Unit): Unit = {
+    val rec = new ResultStages
+    spark.sparkContext.addSparkListener(rec)
+    try body(rec)
+    finally spark.sparkContext.removeSparkListener(rec)
+  }
 
   test("co-optimized ADJ matches the oracle on every reported query") {
     val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 31)
@@ -59,7 +83,8 @@ class AdjSpec extends SparkSpec {
   test("the report accounts for all pipeline stages") {
     val g = TestHelpers.randomGraph(nodes = 14, edges = 30, seed = 36)
     val gdf = SparkTestData.graphDf(spark, g)
-    val (_, report) = Adj.runOnGraph(spark, QueryLibrary.q4, gdf, smallCfg)
+    val (df, report) = Adj.runOnGraph(spark, QueryLibrary.q4, gdf, smallCfg)
+    df.count() // the computation runs in the consuming job
     assert(report.optimizationSec > 0)
     assert(report.communicationSec > 0)
     assert(report.computationSec > 0)
@@ -67,6 +92,49 @@ class AdjSpec extends SparkSpec {
     assert(math.abs(report.totalSec - (report.optimizationSec + report.preComputingSec +
       report.communicationSec + report.computationSec)) < 1e-9)
     assert(report.shuffledTuples > 0)
+  }
+
+  test("one consumption runs the final join's trie build and Leapfrog once") {
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 39)
+    val q = QueryLibrary.q4
+    withResultStages { rec =>
+      val (result, _) = Adj.run(spark, q, Vector.fill(q.numAtoms)(spark.sparkContext.parallelize(g, 4)),
+        smallCfg.copy(strategy = Adj.CommunicationFirst))
+      assert(rec.leapfrog().isEmpty)
+      result.count()
+      assert(rec.leapfrog().map(_.numTasks) == Seq(result.getNumPartitions))
+    }
+  }
+
+  test("the report's result count is the consumed count and survives a second consumption") {
+    val g = TestHelpers.randomGraph(nodes = 16, edges = 40, seed = 40)
+    val q = QueryLibrary.q4
+    val (result, report) = Adj.run(spark, q, Vector.fill(q.numAtoms)(spark.sparkContext.parallelize(g, 4)),
+      smallCfg)
+    assert(report.resultCount == 0 && report.computationSec == 0.0, "nothing consumed yet")
+    val n = result.count()
+    assert(n > 0)
+    assert(report.resultCount == n)
+    assert(report.levelCounts.length == q.numAttrs && report.levelCounts.last == n)
+    assert(report.computationSec > 0)
+    assert(result.collect().length == n)
+    assert(report.resultCount == n)
+    assert(report.levelCounts.last == n)
+  }
+
+  test("a pre-computed bag's join runs once") {
+    val g = TestHelpers.randomGraph(nodes = 20, edges = 60, seed = 1)
+    val q = QueryLibrary.q5
+    withResultStages { rec =>
+      val (result, report) = Adj.run(spark, q,
+        Vector.fill(q.numAtoms)(spark.sparkContext.parallelize(g, 4)), smallCfg)
+      val bags = report.plan.preCompute.size
+      assert(bags > 0, s"no bag pre-computed: $report")
+      assert(rec.leapfrog().length == bags)
+      val n = result.count()
+      assert(rec.leapfrog().length == bags + 1)
+      assert(n == TestHelpers.naiveJoin(q, TestHelpers.bindGraph(q, g)).size)
+    }
   }
 
   test("the plan's attribute order covers every attribute exactly once") {
